@@ -23,10 +23,9 @@ time-to-scrub distributions — none of which needs to be exponential.
 * :mod:`~repro.simulation.streaming` — mergeable incremental fleet
   statistics, convergence targets (:class:`Precision`), and progress
   observers for shard-by-shard runs (``MonteCarloRunner.run_streaming``);
-* :mod:`~repro.simulation.executor` — pipelined parallel shard
-  execution: a persistent spawn-context pool speculates shards ahead
-  while results commit strictly in shard order (bit-identical to
-  serial);
+* :mod:`~repro.simulation.executor` — the one shard executor: inline,
+  process-pool and remote-worker lanes feed one queue while results
+  commit strictly in shard order (bit-identical to serial);
 * :mod:`~repro.simulation.checkpoint` — JSON checkpoint/resume of
   streaming runs (bit-identical continuation);
 * :mod:`~repro.simulation.results` — cumulative DDF curves (the
@@ -49,6 +48,7 @@ from .config import RaidGroupConfig, RepairPolicyConfig
 from .executor import (
     DEFAULT_MAX_SHARD_RETRIES,
     PipelinedShardExecutor,
+    ShardExecutor,
     ShardOutcome,
     ShardTask,
     shard_plan,
@@ -104,6 +104,7 @@ __all__ = [
     "RunCheckpoint",
     "save_checkpoint",
     "load_checkpoint",
+    "ShardExecutor",
     "PipelinedShardExecutor",
     "DistributedShardExecutor",
     "RemoteWorkerHub",

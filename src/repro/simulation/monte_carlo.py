@@ -38,35 +38,31 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from multiprocessing import get_context
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .._validation import require_int
 from ..exceptions import ParameterError, SimulationError
-from .batch import BATCH_SHARD_SIZE, shard_sizes, simulate_groups_batch
+# simulate_groups_batch stays importable from here: perfbench/serve_entry.py
+# wraps this module's name when it traces the query workload.
+from .batch import BATCH_SHARD_SIZE, simulate_groups_batch  # noqa: F401
 from .checkpoint import (
     RunCheckpoint,
     config_fingerprint,
     load_checkpoint,
     save_checkpoint,
 )
-from .compiled import (
-    MISSING_NUMBA_HINT,
-    compiled_kernel_available,
-    simulate_groups_compiled,
-)
+from .compiled import MISSING_NUMBA_HINT, compiled_kernel_available
 from .config import RaidGroupConfig
 from .executor import (
     DEFAULT_MAX_SHARD_RETRIES,
-    PipelinedShardExecutor,
-    ShardOutcome,
-    ShardTask,
+    ShardExecutor,
     ShardWorker,
+    _timed,
     shard_plan,
 )
-from .raid_simulator import GroupChronology, RaidGroupSimulator
+from .raid_simulator import GroupChronology
 from .results import SimulationResult
 from .rng import make_seed_sequence
 from .streaming import (
@@ -77,6 +73,9 @@ from .streaming import (
     StreamingResult,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing-only import, avoids a cycle
+    from .remote import RemoteWorkerHub
+
 #: Engine names accepted by :class:`MonteCarloRunner`.
 ENGINES = ("event", "batch", "compiled", "auto")
 
@@ -86,25 +85,6 @@ ENGINES = ("event", "batch", "compiled", "auto")
 _SHARDED_ENGINES = ("batch", "compiled")
 
 
-def _run_batch(args) -> List[GroupChronology]:
-    """Worker: simulate a batch of replications (module-level for pickling)."""
-    config, seed_states = args
-    simulator = RaidGroupSimulator(config)
-    out = []
-    for state in seed_states:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(**state)))
-        out.append(simulator.run(rng))
-    return out
-
-
-def _run_shard(args) -> List[GroupChronology]:
-    """Worker: one vectorized/compiled shard (module-level for pickling)."""
-    config, seed_state, n, engine = args
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(**seed_state)))
-    kernel = simulate_groups_compiled if engine == "compiled" else simulate_groups_batch
-    return kernel(config, n, rng)
-
-
 def _seed_state(seq: np.random.SeedSequence) -> dict:
     """Picklable reconstruction kwargs for a SeedSequence."""
     return {
@@ -112,85 +92,6 @@ def _seed_state(seq: np.random.SeedSequence) -> dict:
         "spawn_key": seq.spawn_key,
         "pool_size": seq.pool_size,
     }
-
-
-@dataclasses.dataclass
-class _ExecutorStats:
-    """Aggregated shard-executor telemetry for the run manifest."""
-
-    mode: str
-    n_jobs: int
-    shards: int = 0
-    groups_total: int = 0
-    shard_seconds_total: float = 0.0
-    shard_seconds_max: float = 0.0
-    commit_lag_total: float = 0.0
-    commit_lag_max: float = 0.0
-    queue_depth_max: int = 0
-    retries_total: int = 0
-    pool_breaks: int = 0
-    last_queue_depth: int = 0
-    workers: Dict[str, Dict[str, float]] = dataclasses.field(default_factory=dict)
-
-    def observe(self, outcome: ShardOutcome) -> None:
-        """Fold one committed shard's telemetry in."""
-        self.shards += 1
-        self.groups_total += outcome.task.n_groups
-        self.shard_seconds_total += outcome.wall_seconds
-        self.shard_seconds_max = max(self.shard_seconds_max, outcome.wall_seconds)
-        self.commit_lag_total += outcome.commit_lag_seconds
-        self.commit_lag_max = max(self.commit_lag_max, outcome.commit_lag_seconds)
-        self.queue_depth_max = max(self.queue_depth_max, outcome.queue_depth)
-        self.retries_total += outcome.retries
-        self.last_queue_depth = outcome.queue_depth
-        per = self.workers.setdefault(
-            outcome.worker,
-            {"shards": 0, "groups": 0, "wall_seconds": 0.0, "rtt_seconds": 0.0},
-        )
-        per["shards"] += 1
-        per["groups"] += outcome.task.n_groups
-        per["wall_seconds"] += outcome.wall_seconds
-        per["rtt_seconds"] += outcome.rtt_seconds
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe summary (the manifest's ``executor`` section)."""
-        shards = max(self.shards, 1)
-        return {
-            "mode": self.mode,
-            "n_jobs": self.n_jobs,
-            "shards_committed": self.shards,
-            "groups_committed": self.groups_total,
-            # Per-worker kernel throughput from the workers' own monotonic
-            # clocks (sum of shard wall times), not wall-clock deltas in
-            # this process — so it stays honest under pipelining, where
-            # n_jobs shards run concurrently.
-            "groups_per_second": (
-                self.groups_total / self.shard_seconds_total
-                if self.shard_seconds_total > 0
-                else 0.0
-            ),
-            "shard_seconds_mean": self.shard_seconds_total / shards,
-            "shard_seconds_max": self.shard_seconds_max,
-            "commit_lag_seconds_mean": self.commit_lag_total / shards,
-            "commit_lag_seconds_max": self.commit_lag_max,
-            "queue_depth_max": self.queue_depth_max,
-            "discarded_in_flight": self.last_queue_depth,
-            "shard_retries": self.retries_total,
-            "pool_breaks": self.pool_breaks,
-            # Per-worker breakdown (one "local" row for in-process work;
-            # one host:pid row per remote worker that committed shards).
-            "workers": {
-                name: {
-                    "shards_committed": int(per["shards"]),
-                    "groups_committed": int(per["groups"]),
-                    "wall_seconds": per["wall_seconds"],
-                    "mean_rtt_seconds": (
-                        per["rtt_seconds"] / per["shards"] if per["shards"] else 0.0
-                    ),
-                }
-                for name, per in sorted(self.workers.items())
-            },
-        }
 
 
 @dataclasses.dataclass
@@ -207,14 +108,15 @@ class MonteCarloRunner:
         Root seed; identical (config, n_groups, seed, engine) tuples
         reproduce byte-identical results.
     n_jobs:
-        Worker processes; 1 (default) runs in-process.  Never changes
-        numeric results, only wall-clock.  Streaming runs
-        (:meth:`run_streaming`) execute shards through a pipelined
-        speculative pool (:mod:`~repro.simulation.executor`) that keeps
-        up to ``n_jobs`` shards in flight on **both** engines.  0 is
-        allowed only for distributed streaming runs
-        (``run_streaming(workers=...)``) and means "no local shard
-        pool": every shard is simulated by a remote worker.
+        Local worker processes.  Never changes numeric results, only
+        wall-clock.  Every run executes its shards through the one
+        :class:`~repro.simulation.executor.ShardExecutor`: 1 (default)
+        simulates them in-process, more keeps a speculative pool of
+        ``n_jobs`` processes at most ``n_jobs`` shards ahead of the
+        in-order commit, on every engine.  0 is allowed only for
+        distributed streaming runs (``run_streaming(workers=...)``) and
+        means "no local shard pool": every shard is simulated by a
+        remote worker.
     engine:
         ``"event"`` (default, the reference per-group event loop),
         ``"batch"`` (the vectorized lockstep engine), ``"compiled"``
@@ -260,6 +162,9 @@ class MonteCarloRunner:
     def run(self, until: "Union[Precision, float, None]" = None) -> SimulationResult:
         """Simulate the fleet and aggregate.
 
+        A streaming run that keeps its chronologies
+        (``run_streaming(until=until, keep_chronologies=True).result``).
+
         Parameters
         ----------
         until:
@@ -269,29 +174,14 @@ class MonteCarloRunner:
             shards until the mission-DDF-rate CI is tight enough, with
             :attr:`n_groups` as the hard cap; the returned result carries
             the streaming statistics on
-            :attr:`~repro.simulation.results.SimulationResult.streaming`.
+            :attr:`~repro.simulation.results.SimulationResult.streaming`
+            (``None`` for a fixed-size run).
         """
-        if until is not None:
-            streaming = self.run_streaming(until=until, keep_chronologies=True)
-            assert isinstance(streaming.result, SimulationResult)
-            return streaming.result
-        if self.n_jobs == 0:
-            raise ParameterError(
-                "n_jobs=0 (no local shard pool) is only valid for "
-                "distributed streaming runs (run_streaming(workers=...)); "
-                "a materialized run() has nobody else to simulate the fleet"
-            )
-        engine = self.resolve_engine()
-        if engine in _SHARDED_ENGINES:
-            chronologies = self._run_sharded_engine(engine)
-        else:
-            chronologies = self._run_event_engine()
-        return SimulationResult(
-            config=self.config,
-            chronologies=chronologies,
-            seed=self.seed if isinstance(self.seed, int) else None,
-            engine=engine,
-        )
+        result = self.run_streaming(until=until, keep_chronologies=True).result
+        assert isinstance(result, SimulationResult)
+        if until is None:
+            result.streaming = None  # a fixed-size run reports no stopping
+        return result
 
     # ------------------------------------------------------------------
     def run_streaming(
@@ -316,23 +206,22 @@ class MonteCarloRunner:
         (the last shard truncated to the target), each shard's
         chronologies folded into a
         :class:`~repro.simulation.streaming.FleetAccumulator` and then
-        discarded (unless ``keep_chronologies``).  Shard seeding matches
-        the materialized :meth:`run` path exactly — one spawned
-        :class:`~numpy.random.SeedSequence` child per group (event
-        engine) or per shard (batch and compiled engines) — so a
-        fixed-size streaming
-        run reproduces :meth:`run` and a converged run is reproducible
-        from ``(config, seed, engine, shards_run)``.
+        discarded (unless ``keep_chronologies``).  Each shard is seeded
+        from its index alone — one :class:`~numpy.random.SeedSequence`
+        child of the root per group (event engine) or per shard (batch
+        and compiled engines) — so a converged run is reproducible from
+        ``(config, seed, engine, shards_run)``.
 
-        With ``n_jobs > 1`` the shards are executed by a
-        :class:`~repro.simulation.executor.PipelinedShardExecutor`: a
-        persistent ``spawn``-context worker pool speculatively simulates
-        up to ``n_jobs`` shards ahead (each shard's streams are a pure
-        function of its index) while this process commits results
-        strictly in shard order — so parallel runs are **bit-identical**
-        to serial ones on both engines, including checkpoints, resume,
-        and convergence stopping (in-flight shards past the stopping
-        shard are discarded as if never run).
+        The shards are executed by a
+        :class:`~repro.simulation.executor.ShardExecutor`: inline for
+        ``n_jobs == 1``, otherwise by a persistent ``spawn``-context
+        worker pool that speculatively simulates up to ``n_jobs`` shards
+        ahead, plus remote workers when ``workers`` is given, while this
+        process commits results strictly in shard order — so parallel
+        and distributed runs are **bit-identical** to serial ones on
+        every engine, including checkpoints, resume, and convergence
+        stopping (in-flight shards past the stopping shard are discarded
+        as if never run).
 
         Parameters
         ----------
@@ -369,9 +258,9 @@ class MonteCarloRunner:
             shards *in this call* — the programmatic analogue of an
             interruption, used with ``checkpoint_path``/``resume_from``.
         max_shard_retries:
-            Under the parallel executor, how many times a shard whose
-            worker process died is reseeded from its index and re-run
-            before the run raises
+            How many times a shard whose worker process or remote link
+            died is reseeded from its index and re-run before the run
+            raises
             :class:`~repro.exceptions.SimulationError`.
         workers:
             Distribute shards over remote TCP workers as well: either an
@@ -436,7 +325,6 @@ class MonteCarloRunner:
         # so it is fixed up front; stopping merely truncates it.
         target = fixed_target if fixed_target is not None else cap
         plan = shard_plan(shards_done, groups_done, target, shard_size)
-        root = make_seed_sequence(self.seed)
         hub: "Optional[RemoteWorkerHub]" = None
         owned_hub = False
         if workers is not None and _shard_runner is None and bool(plan):
@@ -452,45 +340,20 @@ class MonteCarloRunner:
                 "n_jobs=0 (no local shard pool) requires workers= — there "
                 "would be nobody to simulate the shards"
             )
-        parallel = (
-            (self.n_jobs > 1 or hub is not None)
-            and _shard_runner is None
-            and bool(plan)
+        n_jobs, worker = (self.n_jobs if plan else 1), _shard_worker
+        if _shard_runner is not None:  # injected chronologies run inline
+            runner = _shard_runner
+            n_jobs, worker = 1, lambda task: _timed(runner, task.index, task.n_groups)
+        executor = ShardExecutor(
+            self.config,
+            _seed_state(make_seed_sequence(self.seed)),
+            engine,
+            n_jobs,
+            hub=hub,
+            max_retries=max_shard_retries,
+            worker=worker,
         )
-        executor = None
-        if hub is not None:
-            from .remote import DistributedShardExecutor
-
-            executor = DistributedShardExecutor(
-                self.config,
-                _seed_state(root),
-                engine,
-                self.n_jobs,
-                hub=hub,
-                max_retries=max_shard_retries,
-                worker=_shard_worker,
-            )
-            source = executor.outcomes(plan)
-        elif parallel:
-            executor = PipelinedShardExecutor(
-                self.config,
-                _seed_state(root),
-                engine,
-                min(self.n_jobs, len(plan)),
-                max_retries=max_shard_retries,
-                worker=_shard_worker,
-            )
-            source = executor.outcomes(plan)
-        else:
-            # Serial path: advance the sequential spawn cursor past every
-            # stream the completed shards consumed, so shard k always
-            # sees the same children regardless of interruptions.
-            if engine in _SHARDED_ENGINES:
-                if shards_done:
-                    root.spawn(shards_done)
-            elif groups_done:
-                root.spawn(groups_done)
-            source = self._serial_outcomes(plan, engine, root, _shard_runner)
+        source = executor.outcomes(plan)
 
         kept: List[GroupChronology] = []
         start = time.perf_counter()
@@ -498,14 +361,6 @@ class MonteCarloRunner:
         groups_at_start = groups_done
         stop_reason: Optional[str] = None
         converged = False
-        stats = _ExecutorStats(
-            mode=(
-                "distributed"
-                if hub is not None
-                else "pipelined" if parallel else "serial"
-            ),
-            n_jobs=executor.n_jobs if executor is not None else 1,
-        )
         try:
             if not plan:
                 stop_reason = "fixed" if fixed_target is not None else "max_groups"
@@ -516,7 +371,6 @@ class MonteCarloRunner:
                 shards_done += 1
                 shards_this_call += 1
                 groups_done += outcome.task.n_groups
-                stats.observe(outcome)
 
                 converged = precision is not None and precision.satisfied_by(accumulator)
                 if converged:
@@ -547,27 +401,40 @@ class MonteCarloRunner:
                         ),
                     )
                 if observers:
-                    self._notify(
-                        observers,
-                        accumulator,
-                        precision,
-                        shards_done,
-                        groups_done,
-                        groups_at_start,
-                        elapsed,
-                        prior_elapsed,
-                        converged,
+                    confidence = 0.95 if precision is None else precision.confidence
+                    estimate, lo, hi = accumulator.ddfs_per_thousand_ci(confidence)
+                    event = ProgressEvent(
+                        shards_completed=shards_done,
+                        groups_completed=groups_done,
+                        total_ddfs=accumulator.total_ddfs,
+                        ddfs_per_1000=estimate,
+                        ci_lo=lo,
+                        ci_hi=hi,
+                        rel_ci_width=accumulator.relative_ci_width(confidence),
+                        elapsed_seconds=elapsed,
+                        groups_per_second=(groups_done - groups_at_start)
+                        / max(elapsed - prior_elapsed, 1e-9),
+                        converged=converged,
                         done=stop_reason is not None,
-                        outcome=outcome,
+                        shard_seconds=outcome.wall_seconds,
+                        queue_depth=outcome.queue_depth,
+                        commit_lag_seconds=outcome.commit_lag_seconds,
+                        shard_retries=outcome.retries,
+                        shard_groups_per_second=(
+                            outcome.task.n_groups / outcome.wall_seconds
+                            if outcome.wall_seconds > 0
+                            else 0.0
+                        ),
+                        shard_worker=outcome.worker,
                     )
+                    for observer in observers:
+                        observer(event)
                 if stop_reason is not None:
                     break
         finally:
             source.close()
             if owned_hub and hub is not None:
                 hub.close()
-        if executor is not None:
-            stats.pool_breaks = executor.pool_breaks
 
         streaming = StreamingResult(
             accumulator=accumulator,
@@ -580,7 +447,7 @@ class MonteCarloRunner:
             stop_reason=stop_reason or "interrupted",
             precision=precision,
             elapsed_seconds=prior_elapsed + (time.perf_counter() - start),
-            executor_stats=stats.to_dict(),
+            executor_stats=executor.stats(),
         )
         if keep_chronologies:
             result = SimulationResult(
@@ -592,153 +459,6 @@ class MonteCarloRunner:
             )
             streaming.result = result
         return streaming
-
-    @staticmethod
-    def _notify(
-        observers: Sequence[RunObserver],
-        accumulator: FleetAccumulator,
-        precision: Optional[Precision],
-        shards_done: int,
-        groups_done: int,
-        groups_at_start: int,
-        elapsed: float,
-        prior_elapsed: float,
-        converged: bool,
-        done: bool,
-        outcome: Optional[ShardOutcome] = None,
-    ) -> None:
-        """Build and fan out one progress event."""
-        confidence = precision.confidence if precision is not None else 0.95
-        estimate, lo, hi = accumulator.ddfs_per_thousand_ci(confidence)
-        call_elapsed = max(elapsed - prior_elapsed, 1e-9)
-        event = ProgressEvent(
-            shards_completed=shards_done,
-            groups_completed=groups_done,
-            total_ddfs=accumulator.total_ddfs,
-            ddfs_per_1000=estimate,
-            ci_lo=lo,
-            ci_hi=hi,
-            rel_ci_width=accumulator.relative_ci_width(confidence),
-            elapsed_seconds=elapsed,
-            groups_per_second=(groups_done - groups_at_start) / call_elapsed,
-            converged=converged,
-            done=done,
-            shard_seconds=outcome.wall_seconds if outcome is not None else 0.0,
-            queue_depth=outcome.queue_depth if outcome is not None else 0,
-            commit_lag_seconds=(
-                outcome.commit_lag_seconds if outcome is not None else 0.0
-            ),
-            shard_retries=outcome.retries if outcome is not None else 0,
-            shard_groups_per_second=(
-                outcome.task.n_groups / outcome.wall_seconds
-                if outcome is not None and outcome.wall_seconds > 0
-                else 0.0
-            ),
-            shard_worker=outcome.worker if outcome is not None else "local",
-        )
-        for observer in observers:
-            observer(event)
-
-    def _serial_outcomes(
-        self,
-        plan: Sequence[ShardTask],
-        engine: str,
-        root: np.random.SeedSequence,
-        _shard_runner: Optional[Callable[[int, int], List[GroupChronology]]],
-    ) -> Iterator[ShardOutcome]:
-        """In-process shard execution (``n_jobs=1`` or an injected runner)."""
-        for task in plan:
-            start = time.perf_counter()
-            if _shard_runner is not None:
-                chronologies = _shard_runner(task.index, task.n_groups)
-            else:
-                chronologies = self._simulate_streaming_shard(
-                    engine, root, task.n_groups
-                )
-            yield ShardOutcome(
-                task=task,
-                chronologies=chronologies,
-                wall_seconds=time.perf_counter() - start,
-            )
-
-    def _simulate_streaming_shard(
-        self,
-        engine: str,
-        root: np.random.SeedSequence,
-        n: int,
-    ) -> List[GroupChronology]:
-        """One shard's chronologies, consuming the next spawn positions."""
-        if engine in _SHARDED_ENGINES:
-            (child,) = root.spawn(1)
-            rng = np.random.Generator(np.random.PCG64(child))
-            if engine == "compiled":
-                return simulate_groups_compiled(self.config, n, rng)
-            return simulate_groups_batch(self.config, n, rng)
-        children = root.spawn(n)
-        simulator = RaidGroupSimulator(self.config)
-        return [
-            simulator.run(np.random.Generator(np.random.PCG64(child)))
-            for child in children
-        ]
-
-    # ------------------------------------------------------------------
-    def _run_event_engine(self) -> List[GroupChronology]:
-        """Reference path: one seed-spawned event loop per group."""
-        root = make_seed_sequence(self.seed)
-        children = root.spawn(self.n_groups)
-
-        if self.n_jobs <= 1:
-            simulator = RaidGroupSimulator(self.config)
-            return [
-                simulator.run(np.random.Generator(np.random.PCG64(child)))
-                for child in children
-            ]
-        # Per-group seeds are independent of the partition, so clamping
-        # the job count to the fleet size changes nothing numerically.
-        jobs = min(self.n_jobs, self.n_groups)
-        batches: List[List[dict]] = [[] for _ in range(jobs)]
-        for idx, child in enumerate(children):
-            batches[idx % jobs].append(_seed_state(child))
-        ctx = get_context("spawn")
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_run_batch, [(self.config, batch) for batch in batches])
-        # Restore replication order: batch b holds indices b, b+J, ...
-        chronologies: List[GroupChronology] = [None] * self.n_groups  # type: ignore[list-item]
-        flat_iters = [iter(r) for r in results]
-        for idx in range(self.n_groups):
-            chronologies[idx] = next(flat_iters[idx % jobs])
-        return chronologies
-
-    def _run_sharded_engine(self, engine: str) -> List[GroupChronology]:
-        """Vectorized/compiled path: one seed-spawned kernel shard each.
-
-        The shard partition is a pure function of ``n_groups``
-        (:data:`~repro.simulation.batch.BATCH_SHARD_SIZE`), so results do
-        not depend on ``n_jobs``.  The compiled engine reuses the batch
-        engine's partition and per-shard seeding verbatim — only the
-        kernel that consumes each shard's generator differs.
-        """
-        kernel = (
-            simulate_groups_compiled if engine == "compiled" else simulate_groups_batch
-        )
-        root = make_seed_sequence(self.seed)
-        sizes = shard_sizes(self.n_groups, BATCH_SHARD_SIZE)
-        children = root.spawn(len(sizes))
-        jobs = min(self.n_jobs, len(sizes))
-        if jobs <= 1:
-            shards = [
-                kernel(self.config, n, np.random.Generator(np.random.PCG64(child)))
-                for n, child in zip(sizes, children)
-            ]
-        else:
-            ctx = get_context("spawn")
-            tasks = [
-                (self.config, _seed_state(child), n, engine)
-                for n, child in zip(sizes, children)
-            ]
-            with ctx.Pool(jobs) as pool:
-                shards = pool.map(_run_shard, tasks)
-        return [chrono for shard in shards for chrono in shard]
 
 
 def simulate_raid_groups(

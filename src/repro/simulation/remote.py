@@ -1,36 +1,37 @@
-"""TCP remote-worker backend for the pipelined shard executor.
+"""TCP remote-worker lane of the shard executor.
 
 The spawn-key seed reconstruction (:func:`.executor._child_seed`) makes a
 :class:`~repro.simulation.executor.ShardTask` a pure function of its
 indices: any process on any host that knows the run constants (config,
 root seed state, engine) can simulate any shard and produce byte-identical
-chronologies.  This module exploits that to extend the shard executor past
-one machine with *unchanged semantics*:
+chronologies.  This module extends the shard executor past one machine
+with *unchanged semantics*:
 
 * :func:`run_worker` — the ``repro worker --connect HOST:PORT`` client
   loop.  It dials the coordinator, announces itself, receives the run
   constants, then pulls shard tasks one at a time (work stealing: a fast
   host simply asks more often), simulating each with its local engine via
   the very same :func:`~repro.simulation.executor.simulate_shard` the
-  process pool uses, and streams back length-prefixed JSON chronology
+  local lanes use, and streams back length-prefixed JSON chronology
   payloads.  A background thread heartbeats; a dropped connection triggers
   reconnect with exponential backoff.
 
-* :class:`RemoteWorkerHub` — the coordinator side.  A listening socket
-  plus one thread per connected worker.  Each worker thread drives the
-  handshake, claims tasks from the active run's shared queue, and awaits
-  results; heartbeat staleness or a socket error abandons the claimed
-  shard back to the queue, *charged against* ``max_retries`` exactly like
-  a local :class:`~concurrent.futures.process.BrokenProcessPool`.
+* :class:`RemoteWorkerHub` — the coordinator side and the executor's
+  remote lane.  A listening socket plus one thread per connected worker.
+  A run's :class:`~repro.simulation.executor.ShardExecutor` registers as
+  the active *session*; each link thread drives the handshake, then
+  claims tasks from the session's shared queue and hands results back
+  through ``session.complete``.  Claims start once every link connected
+  at registration has answered the run's ``init`` (or the heartbeat
+  timeout passed), so no link drains the queue while another is still
+  handshaking.  Heartbeat staleness or a socket error abandons the
+  claimed shard back to the queue, charged one retry in the executor's
+  ledger exactly like a broken local pool.
 
-* :class:`DistributedShardExecutor` — a drop-in for
-  :class:`~repro.simulation.executor.PipelinedShardExecutor` whose
-  ``outcomes()`` generator merges the local process pool and every
-  connected remote worker behind the same in-order-commit contract.
-  Because commits stay strictly in shard order and each shard is reseeded
-  from its index, a distributed run is bit-identical to a serial one —
-  through checkpoint/resume, convergence stopping (in-flight remote shards
-  are drained and discarded), and mid-run worker loss.
+Because the executor commits strictly in shard order and every shard is
+reseeded from its index, a distributed run is bit-identical to a serial
+one — through checkpoint/resume, convergence stopping (in-flight remote
+shards are drained and discarded), and mid-run worker loss.
 
 Wire format (version 1): every frame is a 4-byte big-endian unsigned
 length followed by that many bytes of UTF-8 JSON.  JSON round-trips
@@ -69,27 +70,17 @@ reassigned) is recognizably stale and discarded.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import socket
 import struct
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..exceptions import SimulationError
 from .config import RaidGroupConfig
-from .executor import (
-    DEFAULT_MAX_SHARD_RETRIES,
-    PipelinedShardExecutor,
-    ShardOutcome,
-    ShardTask,
-    ShardWorker,
-    simulate_shard,
-)
+from .executor import _POLL_SECONDS, ShardExecutor, ShardTask, simulate_shard
 from .raid_simulator import DDFType, GroupChronology
 
 PROTOCOL_VERSION = 1
@@ -105,9 +96,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: Coordinator-side staleness bound: a worker silent this long is
 #: presumed dead and its claimed shard is abandoned back to the queue.
 DEFAULT_HEARTBEAT_TIMEOUT = 15.0
-
-#: Internal poll quantum for socket reads and condition waits.
-_POLL_SECONDS = 0.25
 
 _LEN = struct.Struct("!I")
 
@@ -328,31 +316,20 @@ def _serve_connection(
                 # same structure the batch engine does), and a config this
                 # host cannot even deserialize is an init_err, not a crash.
                 try:
-                    new_config = config_from_dict(message["config"])
+                    config = config_from_dict(message["config"])
+                    reason = _engine_unavailable_reason(engine, config)
                 except Exception as exc:
-                    send_frame(
-                        sock,
-                        send_lock,
-                        {
-                            "t": "init_err",
-                            "epoch": epoch,
-                            "reason": f"config rejected: {exc!r}",
-                        },
-                    )
+                    reason = f"config rejected: {exc!r}"
+                if reason is None:
+                    root_state = dict(message["root_state"])
+                    send_frame(sock, send_lock, {"t": "init_ok", "epoch": epoch})
+                else:
                     config = root_state = None
-                    continue
-                reason = _engine_unavailable_reason(engine, new_config)
-                if reason is not None:
                     send_frame(
                         sock,
                         send_lock,
                         {"t": "init_err", "epoch": epoch, "reason": reason},
                     )
-                    config = root_state = None
-                    continue
-                config = new_config
-                root_state = dict(message["root_state"])
-                send_frame(sock, send_lock, {"t": "init_ok", "epoch": epoch})
             elif kind == "task":
                 if config is None or int(message["epoch"]) != epoch:
                     continue  # stale task from a drained run
@@ -361,6 +338,7 @@ def _serve_connection(
                     group_offset=int(message["group_offset"]),
                     n_groups=int(message["n_groups"]),
                 )
+                reply = {"t": "result", "epoch": epoch, "index": task.index}
                 start = time.perf_counter()
                 try:
                     chronologies = simulate_shard(config, root_state, engine, task)
@@ -370,32 +348,15 @@ def _serve_connection(
                     # worker (which would surface only as a heartbeat
                     # timeout and burn retries on a shard that will
                     # fail identically everywhere).
-                    send_frame(
-                        sock,
-                        send_lock,
-                        {
-                            "t": "task_err",
-                            "epoch": epoch,
-                            "index": task.index,
-                            "error": repr(exc),
-                        },
+                    reply.update(t="task_err", error=repr(exc))
+                else:
+                    reply.update(
+                        wall_seconds=time.perf_counter() - start,
+                        chronologies=[chronology_to_dict(c) for c in chronologies],
                     )
-                    continue
-                send_frame(
-                    sock,
-                    send_lock,
-                    {
-                        "t": "result",
-                        "epoch": epoch,
-                        "index": task.index,
-                        "wall_seconds": time.perf_counter() - start,
-                        "chronologies": [chronology_to_dict(c) for c in chronologies],
-                    },
-                )
-                completed += 1
-            elif kind == "drain":
-                continue  # nothing to do right now; keep listening
-            # unknown tags are ignored for forward compatibility
+                    completed += 1
+                send_frame(sock, send_lock, reply)
+            # drain and unknown tags need no answer (forward compatibility)
     finally:
         hb_stop.set()
         hb_thread.join(timeout=2 * heartbeat_interval)
@@ -433,7 +394,6 @@ class _WorkerLink:
         self.shards_committed = 0
         self.wall_seconds = 0.0
         self.rtt_total = 0.0
-        self.rtt_count = 0
         # Sessions whose engine this worker rejected via init_err.
         self.rejected: Set[int] = set()
 
@@ -446,7 +406,7 @@ class _WorkerLink:
             "shards_committed": self.shards_committed,
             "wall_seconds": round(self.wall_seconds, 6),
             "mean_rtt_seconds": round(
-                self.rtt_total / self.rtt_count if self.rtt_count else 0.0, 6
+                self.rtt_total / max(self.shards_committed, 1), 6
             ),
         }
 
@@ -455,8 +415,8 @@ class RemoteWorkerHub:
     """Accept `repro worker` connections and feed them the active run.
 
     The hub outlives individual runs: `repro serve` creates one hub and
-    every cold job registers its :class:`DistributedShardExecutor` as the
-    active *session*; between sessions connected workers idle on
+    every cold job registers its :class:`~repro.simulation.executor.ShardExecutor`
+    as the active *session*; between sessions connected workers idle on
     ``drain`` frames.  One hub thread accepts connections; one thread per
     worker alternates between idling and driving the active session's
     claim/await-result loop.
@@ -475,11 +435,14 @@ class RemoteWorkerHub:
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Condition()
         self._links: Dict[str, _WorkerLink] = {}
-        self._session: Optional["DistributedShardExecutor"] = None
+        self._session: Optional[ShardExecutor] = None
         self._epoch = 0
+        # Init barrier: links connected at register() that have not yet
+        # answered the session's init, and when the barrier gives up.
+        self._awaiting_init: Set[str] = set()
+        self._init_deadline = 0.0
         self._closed = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._dropped: Set[str] = set()
         self._seq = 0
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-hub-accept", daemon=True
@@ -491,12 +454,13 @@ class RemoteWorkerHub:
         return f"{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
-    def register(self, session: "DistributedShardExecutor") -> int:
+    def register(self, session: ShardExecutor) -> int:
         """Make ``session`` the active run; returns its epoch stamp.
 
         One distributed run owns the worker fleet at a time; concurrent
         runs (e.g. two service jobs) queue here until the active one
-        unregisters.
+        unregisters.  Every worker connected now must answer the run's
+        init before any worker claims a shard (see :meth:`_await_init`).
         """
         with self._lock:
             while self._session is not None:
@@ -505,9 +469,12 @@ class RemoteWorkerHub:
                 self._lock.wait(_POLL_SECONDS)
             self._epoch += 1
             self._session = session
+            self._awaiting_init = set(self._links)
+            self._init_deadline = time.monotonic() + self.heartbeat_timeout
+            self._lock.notify_all()  # idle links send the init at once
             return self._epoch
 
-    def unregister(self, session: "DistributedShardExecutor") -> None:
+    def unregister(self, session: ShardExecutor) -> None:
         with self._lock:
             if self._session is session:
                 self._session = None
@@ -533,7 +500,6 @@ class RemoteWorkerHub:
             link = self._links.get(name)
         if link is None:
             return False
-        self._dropped.add(name)
         try:
             link.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -625,8 +591,9 @@ class RemoteWorkerHub:
                 with self._lock:
                     session = self._session
                     epoch = self._epoch
-                if session is None or not session.accepting():
-                    if not self._idle(link):
+                if session is None or epoch in link.rejected or not session.accepting():
+                    # No run, or one this worker cannot serve: stay warm.
+                    if not self._idle(link, epoch):
                         return
                     continue
                 self._drive(link, session, epoch)
@@ -636,17 +603,22 @@ class RemoteWorkerHub:
             with self._lock:
                 if self._links.get(name) is link:
                     del self._links[name]
-            self._dropped.discard(name)
+                self._awaiting_init.discard(name)
+                self._lock.notify_all()
             try:
                 sock.close()
             except OSError:
                 pass
 
-    def _idle(self, link: _WorkerLink) -> bool:
-        """No active session: drain frames, keep liveness fresh."""
+    def _idle(self, link: _WorkerLink, epoch: int) -> bool:
+        """No run this worker can serve: keep the link warm and liveness
+        fresh, waking at once when the next run registers."""
         try:
             link.send({"t": "drain"})
-            message = link.reader.read(_POLL_SECONDS)
+            with self._lock:
+                if self._epoch == epoch and not self._closed.is_set():
+                    self._lock.wait(_POLL_SECONDS)
+            message = link.reader.read(0.001)  # a frame that already arrived
         except (ConnectionError, OSError):
             return False
         if message is not None:
@@ -654,7 +626,7 @@ class RemoteWorkerHub:
         return True
 
     def _drive(
-        self, link: _WorkerLink, session: "DistributedShardExecutor", epoch: int
+        self, link: _WorkerLink, session: ShardExecutor, epoch: int
     ) -> None:
         """Run one worker against the active session until it ends.
 
@@ -664,11 +636,6 @@ class RemoteWorkerHub:
         """
         from ..validation.generator import config_to_dict
 
-        if epoch in link.rejected:
-            # This worker can't run the session's engine; idle instead.
-            if not self._idle(link):
-                raise ConnectionError("idle send failed")
-            return
         link.send(
             {
                 "t": "init",
@@ -678,32 +645,21 @@ class RemoteWorkerHub:
                 "root_state": session.root_state,
             }
         )
-        # Staleness-based, like _await_result: a worker still finishing a
-        # long stale shard from a previous session heartbeats (and may
-        # push a stale result) before it gets to the init frame — any
-        # traffic proves it alive, so only true silence drops it.
         link.last_seen = time.monotonic()
-        while True:
-            message = link.reader.read(_POLL_SECONDS)
-            if message is not None:
-                link.last_seen = time.monotonic()
-                kind = message.get("t")
-                if kind == "init_ok" and int(message.get("epoch", -1)) == epoch:
-                    break
-                if kind == "init_err" and int(message.get("epoch", -1)) == epoch:
-                    link.rejected.add(epoch)
-                    return
-            elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
-                raise ConnectionError("worker did not answer init")
+        answer = self._await_frame(link, epoch, ("init_ok", "init_err"))
+        if answer["t"] == "init_err":
+            link.rejected.add(epoch)  # this worker sits the run out
+        if not self._await_init(link, session, epoch):
+            return
+        # Waiting at the barrier read nothing from this link.
+        link.last_seen = time.monotonic()
 
         while session.accepting():
-            task = session.claim(link.name, timeout=_POLL_SECONDS)
+            task = session.claim(link.name)
             if task is None:
-                # Nothing claimable; keep the link warm and liveness fresh.
-                try:
-                    message = link.reader.read(0.0)
-                except ConnectionError:
-                    raise
+                # Nothing claimable: wait on the link itself, whose
+                # heartbeats keep its liveness fresh.
+                message = link.reader.read(_POLL_SECONDS)
                 if message is not None:
                     link.last_seen = time.monotonic()
                 elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
@@ -720,7 +676,9 @@ class RemoteWorkerHub:
                         "n_groups": task.n_groups,
                     }
                 )
-                result = self._await_result(link, session, epoch, task.index)
+                result = self._await_frame(
+                    link, epoch, ("result", "task_err"), task.index, session
+                )
             except (ConnectionError, OSError) as exc:
                 session.abandon(task, f"{link.name}: {exc}")
                 raise ConnectionError(str(exc)) from exc
@@ -748,7 +706,6 @@ class RemoteWorkerHub:
             link.shards_committed += 1
             link.wall_seconds += float(result["wall_seconds"])
             link.rtt_total += rtt
-            link.rtt_count += 1
             session.complete(
                 task,
                 chronologies,
@@ -757,311 +714,66 @@ class RemoteWorkerHub:
                 rtt_seconds=rtt,
             )
 
-    def _await_result(
+    def _await_init(
+        self, link: _WorkerLink, session: ShardExecutor, epoch: int
+    ) -> bool:
+        """Mark ``link``'s init answered, then hold until every link
+        connected at :meth:`register` has answered too, or the heartbeat
+        timeout since registration passed.
+
+        Without this barrier the first link to finish its handshake can
+        drain a short plan before the others' ``init_ok`` arrives.
+        Returns whether ``link`` may claim shards of ``session``.
+        """
+        with self._lock:
+            self._awaiting_init.discard(link.name)
+            self._lock.notify_all()
+            if epoch in link.rejected:
+                return False
+            while self._awaiting_init and self._session is session:
+                remaining = self._init_deadline - time.monotonic()
+                if remaining <= 0 or self._closed.is_set():
+                    break
+                self._lock.wait(remaining)
+            return self._session is session
+
+    def _await_frame(
         self,
         link: _WorkerLink,
-        session: "DistributedShardExecutor",
         epoch: int,
-        index: int,
+        tags: Tuple[str, ...],
+        index: Optional[int] = None,
+        session: Optional[ShardExecutor] = None,
     ) -> Optional[dict]:
-        """Wait for shard ``index``'s result, policing heartbeats.
+        """Read ``link`` until its ``tags`` frame for ``epoch`` (and shard
+        ``index``) arrives; None if ``session`` stops accepting first.
 
-        Returns the ``result`` or ``task_err`` frame for the shard, or
-        None if the session stops accepting first (drain).
+        Staleness-based: a worker still finishing a long stale shard from
+        a previous session heartbeats (and may push stale frames) first —
+        any traffic proves it alive, so only silence past the heartbeat
+        timeout drops it.
         """
         while True:
             message = link.reader.read(_POLL_SECONDS)
             if message is not None:
                 link.last_seen = time.monotonic()
                 if (
-                    message.get("t") in ("result", "task_err")
+                    message.get("t") in tags
                     and int(message.get("epoch", -1)) == epoch
-                    and int(message.get("index", -1)) == index
+                    and (index is None or int(message.get("index", -1)) == index)
                 ):
                     return message
-                continue
-            if time.monotonic() - link.last_seen > self.heartbeat_timeout:
+            elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError(
-                    f"worker heartbeat timed out awaiting shard {index}"
+                    f"worker heartbeat timed out awaiting {tags[0]}"
+                    + ("" if index is None else f" for shard {index}")
                 )
-            if not session.accepting():
+            elif session is not None and not session.accepting():
                 return None
 
 
-# ----------------------------------------------------------------------
-class DistributedShardExecutor:
-    """In-order shard delivery fed by the local pool *and* remote workers.
-
-    Same contract as :class:`~repro.simulation.executor.PipelinedShardExecutor`
-    (``outcomes(plan)`` yields in plan order; closing the generator drains
-    in-flight work; lost shards are reseeded and charged retries), but the
-    work queue is shared: local pool slots and connected remote workers
-    both claim the lowest unclaimed shard index.  All cross-thread state
-    lives behind one condition variable.
-    """
-
-    def __init__(
-        self,
-        config: RaidGroupConfig,
-        root_state: dict,
-        engine: str,
-        n_jobs: int,
-        *,
-        hub: RemoteWorkerHub,
-        max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-        worker: Optional[ShardWorker] = None,
-    ) -> None:
-        if n_jobs < 0:
-            raise SimulationError(f"n_jobs must be >= 0, got {n_jobs!r}")
-        self.config = config
-        self.root_state = root_state
-        self.engine = engine
-        self.n_jobs = n_jobs
-        self.hub = hub
-        self.max_retries = max_retries
-        self.pool_breaks = 0
-        self._worker = worker
-        self._cond = threading.Condition()
-        self._queue: List[int] = []  # heap of unclaimed shard indices
-        self._by_index: Dict[int, ShardTask] = {}
-        self._claimed: Dict[int, str] = {}
-        self._results: Dict[int, Tuple[List[GroupChronology], float, str, float]] = {}
-        self._retries: Dict[int, int] = {}
-        self._done_at: Dict[int, float] = {}
-        self._error: Optional[BaseException] = None
-        self._stopped = False
-
-    # ------------------------------------------------------------------
-    # Shared-queue API (called from hub link threads and the local loop).
-    def accepting(self) -> bool:
-        with self._cond:
-            return not self._stopped and self._error is None and bool(self._by_index)
-
-    def claim(self, claimant: str, timeout: float = 0.0) -> Optional[ShardTask]:
-        """Pop the lowest unclaimed shard, or None if none within timeout."""
-        with self._cond:
-            if not self._queue and timeout > 0:
-                self._cond.wait(timeout)
-            if self._stopped or self._error is not None or not self._queue:
-                return None
-            index = heapq.heappop(self._queue)
-            self._claimed[index] = claimant
-            return self._by_index[index]
-
-    def complete(
-        self,
-        task: ShardTask,
-        chronologies: List[GroupChronology],
-        wall_seconds: float,
-        *,
-        worker: str,
-        rtt_seconds: float = 0.0,
-    ) -> None:
-        with self._cond:
-            if task.index not in self._by_index or task.index in self._results:
-                return  # stale duplicate (e.g. completed after a reassignment)
-            self._claimed.pop(task.index, None)
-            self._results[task.index] = (chronologies, wall_seconds, worker, rtt_seconds)
-            self._done_at.setdefault(task.index, time.perf_counter())
-            self._cond.notify_all()
-
-    def abandon(self, task: ShardTask, reason: str, *, charge: bool = True) -> None:
-        """Return a claimed shard to the queue after its worker was lost.
-
-        Charged one retry (unless ``charge=False``, for convergence
-        drains) — exactly the local pool-break accounting.
-        """
-        with self._cond:
-            if task.index not in self._by_index or task.index in self._results:
-                return
-            self._claimed.pop(task.index, None)
-            self._done_at.pop(task.index, None)
-            if self._stopped:
-                return
-            if charge:
-                count = self._retries.get(task.index, 0) + 1
-                self._retries[task.index] = count
-                if count > self.max_retries:
-                    self._error = SimulationError(
-                        f"shard {task.index} was lost {count} times "
-                        f"(last: {reason}; max_retries={self.max_retries}); "
-                        "giving up on this run"
-                    )
-                    self._cond.notify_all()
-                    return
-            heapq.heappush(self._queue, task.index)
-            self._cond.notify_all()
-
-    def fail(self, error: BaseException) -> None:
-        with self._cond:
-            if self._error is None:
-                self._error = error
-            self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    def outcomes(self, plan: Iterable[ShardTask]) -> Iterator[ShardOutcome]:
-        tasks = list(plan)
-        if not tasks:
-            return
-        with self._cond:
-            self._stopped = False
-            self._error = None
-            self._by_index = {task.index: task for task in tasks}
-            self._queue = sorted(self._by_index)
-            heapq.heapify(self._queue)
-            self._results.clear()
-            self._claimed.clear()
-            self._retries.clear()
-        epoch = self.hub.register(self)
-        local_thread: Optional[threading.Thread] = None
-        if self.n_jobs > 0:
-            local_thread = threading.Thread(
-                target=self._local_loop, name="repro-dist-local", daemon=True
-            )
-            local_thread.start()
-        try:
-            for task in tasks:
-                with self._cond:
-                    while task.index not in self._results:
-                        if self._error is not None:
-                            raise self._error
-                        self._cond.wait(_POLL_SECONDS)
-                    chronologies, wall, worker, rtt = self._results.pop(task.index)
-                    del self._by_index[task.index]
-                    in_flight = len(self._claimed) + len(self._results)
-                committed_at = time.perf_counter()
-                finished_at = self._done_at.pop(task.index, committed_at)
-                yield ShardOutcome(
-                    task=task,
-                    chronologies=chronologies,
-                    wall_seconds=wall,
-                    queue_depth=in_flight,
-                    commit_lag_seconds=max(0.0, committed_at - finished_at),
-                    retries=self._retries.get(task.index, 0),
-                    worker=worker,
-                    rtt_seconds=rtt,
-                )
-        finally:
-            with self._cond:
-                self._stopped = True
-                self.discarded_in_flight = len(self._claimed) + len(self._results)
-                self._by_index.clear()
-                self._queue.clear()
-                self._cond.notify_all()
-            self.hub.unregister(self)
-            if local_thread is not None:
-                local_thread.join(timeout=30.0)
-            del epoch
-
-    # ------------------------------------------------------------------
-    def _make_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        from .executor import _init_shard_worker
-
-        return ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            mp_context=get_context("spawn"),
-            initializer=_init_shard_worker,
-            initargs=(self.config, self.root_state, self.engine),
-        )
-
-    def _local_loop(self) -> None:
-        """Feed the local process pool from the shared queue.
-
-        Mirrors :class:`PipelinedShardExecutor`'s fault tolerance: a
-        ``BrokenProcessPool`` (at submit or result) abandons every
-        in-flight local shard back to the queue (each charged one retry)
-        and rebuilds the pool.
-        """
-        from .executor import _run_shard_task
-
-        run_task = self._worker if self._worker is not None else _run_shard_task
-        pool = None
-        futures: Dict[Future, ShardTask] = {}
-        try:
-            pool = self._make_pool()
-            while True:
-                if not self.accepting():
-                    if not futures:
-                        return
-                else:
-                    while len(futures) < self.n_jobs:
-                        task = self.claim("local", timeout=0.0)
-                        if task is None:
-                            break
-                        try:
-                            future = pool.submit(run_task, task)
-                        except BrokenProcessPool:
-                            self.pool_breaks += 1
-                            self.abandon(task, "local pool broke at submit")
-                            for lost_future, lost in list(futures.items()):
-                                if _future_ok(lost_future):
-                                    self._harvest(lost_future, futures.pop(lost_future))
-                                else:
-                                    futures.pop(lost_future)
-                                    self.abandon(lost, "local pool broke")
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            pool = self._make_pool()
-                            break
-                        futures[future] = task
-                if not futures:
-                    with self._cond:
-                        if self._stopped or self._error is not None:
-                            return
-                        self._cond.wait(_POLL_SECONDS)
-                    continue
-                done, _ = wait(
-                    set(futures), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
-                broke = False
-                for future in done:
-                    task = futures.pop(future)
-                    try:
-                        self._harvest(future, task)
-                    except BrokenProcessPool:
-                        broke = True
-                        self.abandon(task, "local pool broke")
-                    except SimulationError as exc:
-                        self.fail(exc)
-                        return
-                if broke:
-                    self.pool_breaks += 1
-                    for future, task in list(futures.items()):
-                        if _future_ok(future):
-                            try:
-                                self._harvest(future, futures.pop(future))
-                            except (BrokenProcessPool, SimulationError):
-                                self.abandon(task, "local pool broke")
-                        else:
-                            futures.pop(future)
-                            self.abandon(task, "local pool broke")
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._make_pool()
-        except Exception as exc:  # pragma: no cover - defensive
-            self.fail(exc)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _harvest(self, future: Future, task: ShardTask) -> None:
-        try:
-            chronologies, wall_seconds = future.result()
-        except BrokenProcessPool:
-            raise
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(
-                f"shard {task.index} raised in its worker: {exc!r}"
-            ) from exc
-        self.complete(task, chronologies, wall_seconds, worker="local")
-
-
-def _future_ok(future: Future) -> bool:
-    """Did this future finish cleanly before a pool break?"""
-    return future.done() and not future.cancelled() and future.exception() is None
+#: The distributed executor's former name; the same class.
+DistributedShardExecutor = ShardExecutor
 
 
 __all__ = [

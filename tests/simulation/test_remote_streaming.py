@@ -37,6 +37,10 @@ from repro.simulation.remote import (
     run_worker,
     send_frame,
 )
+from tests.simulation.test_parallel_streaming import (
+    CRASH_DIR_ENV,
+    crash_once_worker,
+)
 
 SHARD = 32
 N_GROUPS = 160
@@ -466,6 +470,128 @@ class TestNJobsZero:
             make_runner("batch", n_jobs=0).run_streaming(shard_size=SHARD)
 
 
+class TestInitBarrier:
+    """Remote claims wait until every worker connected when the run
+    registered has answered its init (or the heartbeat timeout passed):
+    otherwise the first worker to finish its handshake drains a short
+    plan before the others can join."""
+
+    def test_no_task_before_every_connected_worker_answered_init(self):
+        serial = make_runner("batch").run_streaming(shard_size=SHARD)
+        hub = RemoteWorkerHub(heartbeat_timeout=5.0)
+        log = []
+        stop = threading.Event()
+        try:
+            for name, init_delay in (("fast", 0.0), ("slow", 1.0)):
+                threading.Thread(
+                    target=_logging_worker,
+                    args=(hub.address, name, init_delay, log, stop),
+                    daemon=True,
+                ).start()
+            assert hub.wait_for_workers(2, timeout=15.0)
+            distributed = make_runner("batch", n_jobs=0).run_streaming(
+                shard_size=SHARD, workers=hub
+            )
+        finally:
+            stop.set()
+            hub.close()
+        assert canonical(distributed) == canonical(serial)
+        slow_ok = log.index(("slow", "init_ok"))
+        # The fast worker was ready a whole second before the slow one ...
+        assert log.index(("fast", "init_ok")) < slow_ok
+        # ... yet got its first task only after the slow init_ok.
+        fast_tasks = [i for i, entry in enumerate(log) if entry == ("fast", "task")]
+        assert fast_tasks and min(fast_tasks) > slow_ok
+        assert ("slow", "task") in log
+
+
+class TestIdleLinkLiveness:
+    def test_live_worker_with_nothing_to_claim_stays_connected(self):
+        """Regression: a link with nothing to claim polled its socket
+        with a zero timeout, which never reads, so a heartbeating worker
+        waiting out another worker's long shard was dropped as silent
+        after the heartbeat timeout."""
+        serial = make_runner("batch", n_groups=SHARD).run_streaming(shard_size=SHARD)
+        hub = RemoteWorkerHub(heartbeat_timeout=1.0)
+        log = []
+        stop = threading.Event()
+        try:
+            for name in ("a", "b"):
+                threading.Thread(
+                    target=_logging_worker,
+                    args=(hub.address, name, 0.0, log, stop),
+                    kwargs={"task_seconds": 2.5},
+                    daemon=True,
+                ).start()
+            assert hub.wait_for_workers(2, timeout=15.0)
+            # One shard: one worker holds it for 2.5x the timeout while
+            # the other has nothing to claim.
+            distributed = make_runner("batch", n_groups=SHARD, n_jobs=0).run_streaming(
+                shard_size=SHARD, workers=hub
+            )
+            closed_during_run = [entry for entry in log if entry[1] == "closed"]
+        finally:
+            stop.set()
+            hub.close()
+        assert canonical(distributed) == canonical(serial)
+        assert closed_during_run == []
+
+
+class TestLocalLaneUnderHub:
+    def test_pool_break_under_hub_is_recovered(self, hub, tmp_path, monkeypatch):
+        """A local worker process dying while remote workers share the
+        queue: the pool lane rebuilds its pool, reseeds the lost shard,
+        and the run stays bit-identical to serial."""
+        crash_dir = tmp_path / "crashes"
+        crash_dir.mkdir()
+        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
+        serial = make_runner("batch").run_streaming(shard_size=SHARD)
+        stop = start_workers(hub, 1)
+        distributed = make_runner("batch", n_jobs=2).run_streaming(
+            shard_size=SHARD, workers=hub, _shard_worker=crash_once_worker
+        )
+        stop.set()
+        assert canonical(distributed) == canonical(serial)
+        assert distributed.executor_stats["pool_breaks"] >= 1
+        assert len(os.listdir(crash_dir)) == 1  # crashed exactly once
+
+
+class TestSharedQueueStress:
+    def test_more_links_than_cores_commit_each_shard_once(self, hub):
+        """Four in-thread workers race the consumer for one queue under a
+        shortened thread switch interval: every shard is committed once,
+        in order, bit-identical to simulating it directly."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        root_state = _seed_state(np.random.SeedSequence(23))
+        plan = shard_plan(0, 0, 24 * 8, 8)
+        executor = DistributedShardExecutor(config, root_state, "batch", 0, hub=hub)
+        stop = start_workers(hub, 4)
+        outcomes = []
+        consumer = threading.Thread(
+            target=lambda: outcomes.extend(executor.outcomes(plan)), daemon=True
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            consumer.start()
+            consumer.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not consumer.is_alive(), "the run did not finish"
+        assert [o.task.index for o in outcomes] == list(range(len(plan)))
+        for outcome, task in zip(outcomes, plan):
+            assert outcome.chronologies == simulate_shard(
+                config, root_state, "batch", task
+            )
+        stats = executor.stats()
+        assert stats["shards_committed"] == len(plan)
+        assert sum(w["shards_committed"] for w in stats["workers"].values()) == len(
+            plan
+        )
+        assert stats["shard_retries"] == 0
+
+
 class TestLoopbackSubprocesses:
     """The CI acceptance shape: two real ``repro worker`` OS processes
     dialed into a loopback hub, run digest == serial golden digest."""
@@ -575,6 +701,70 @@ def _slow_init_worker(address, delay, stop):
                         "epoch": epoch,
                         "index": task.index,
                         "wall_seconds": 0.0,
+                        "chronologies": [chronology_to_dict(c) for c in chronologies],
+                    },
+                )
+    except OSError:
+        pass
+    finally:
+        sock.close()
+
+
+def _logging_worker(address, name, init_delay, log, stop, task_seconds=0.05):
+    """Raw-socket worker that answers init after ``init_delay`` seconds,
+    takes ``task_seconds`` per shard and heartbeats whenever it waits.
+    It appends ``(name, "init_ok")`` to ``log`` just before its init
+    answer leaves, ``(name, "task")`` as each task frame arrives, and
+    ``(name, "closed")`` if the coordinator drops it."""
+    host, port = parse_endpoint(address)
+    sock = socket.create_connection((host, port), timeout=10.0)
+    lock = threading.Lock()
+    reader = FrameReader(sock)
+    from repro.validation.generator import config_from_dict
+
+    config = root_state = None
+    engine = "batch"
+    epoch = -1
+    try:
+        send_frame(sock, lock, {"t": "hello", "v": 1, "host": name, "pid": 1})
+        while not stop.is_set():
+            try:
+                message = reader.read(timeout=0.2)
+            except ConnectionError:
+                log.append((name, "closed"))
+                return
+            if message is None:
+                send_frame(sock, lock, {"t": "hb"})
+                continue
+            kind = message.get("t")
+            if kind == "init":
+                time.sleep(init_delay)
+                epoch = message["epoch"]
+                engine = message["engine"]
+                config = config_from_dict(message["config"])
+                root_state = message["root_state"]
+                log.append((name, "init_ok"))
+                send_frame(sock, lock, {"t": "init_ok", "epoch": epoch})
+            elif kind == "task":
+                log.append((name, "task"))
+                task = ShardTask(
+                    index=message["index"],
+                    group_offset=message["group_offset"],
+                    n_groups=message["n_groups"],
+                )
+                chronologies = simulate_shard(config, root_state, engine, task)
+                deadline = time.monotonic() + task_seconds
+                while time.monotonic() < deadline:
+                    send_frame(sock, lock, {"t": "hb"})
+                    time.sleep(min(0.2, task_seconds))
+                send_frame(
+                    sock,
+                    lock,
+                    {
+                        "t": "result",
+                        "epoch": epoch,
+                        "index": task.index,
+                        "wall_seconds": task_seconds,
                         "chronologies": [chronology_to_dict(c) for c in chronologies],
                     },
                 )
